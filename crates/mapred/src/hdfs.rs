@@ -20,6 +20,7 @@
 //! [`MapRedError::CorruptBlock`].
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,13 +69,25 @@ impl DataFile {
 /// must stay exactly reconciled with [`Hdfs::total_bytes`] across arbitrary
 /// put/delete/evict cycles — [`Hdfs::accounting_reconciled`] checks the
 /// invariant and the property suite exercises it.
+///
+/// Each file also carries its content checksum ([`Hdfs::checksum`]),
+/// computed on first request. Files are never mutated in place, so the
+/// memo is valid until [`Hdfs::delete`] or a replacing put drops it with
+/// the file.
 #[derive(Debug, Clone)]
 pub struct Hdfs {
-    files: BTreeMap<String, DataFile>,
+    files: BTreeMap<String, Stored>,
     /// Data-node count of the per-node disk model (≥ 1).
     nodes: usize,
     /// Bytes stored per node; `node_used.iter().sum() == total_bytes()`.
     node_used: Vec<u64>,
+}
+
+/// A stored file and its lazily computed [`file_checksum`].
+#[derive(Debug, Clone)]
+struct Stored {
+    file: DataFile,
+    checksum: OnceLock<u64>,
 }
 
 impl Default for Hdfs {
@@ -110,9 +123,9 @@ impl Hdfs {
     pub fn set_nodes(&mut self, nodes: usize) {
         self.nodes = nodes.max(1);
         self.node_used = vec![0; self.nodes];
-        for (path, file) in &self.files {
+        for (path, stored) in &self.files {
             let n = node_index(path, self.nodes);
-            self.node_used[n] += file.bytes();
+            self.node_used[n] += stored.file.bytes();
         }
     }
 
@@ -124,12 +137,17 @@ impl Hdfs {
 
     /// Stores `file` at `path`, keeping the per-node accounting exact: a
     /// replacement releases the old file's bytes before charging the new
-    /// ones. All puts funnel through here.
+    /// ones, and the old file's checksum memo goes with it. All puts funnel
+    /// through here.
     fn store(&mut self, path: &str, file: DataFile) {
         let n = node_index(path, self.nodes);
         let new_bytes = file.bytes();
-        if let Some(old) = self.files.insert(path.to_string(), file) {
-            self.node_used[n] -= old.bytes();
+        let stored = Stored {
+            file,
+            checksum: OnceLock::new(),
+        };
+        if let Some(old) = self.files.insert(path.to_string(), stored) {
+            self.node_used[n] -= old.file.bytes();
         }
         self.node_used[n] += new_bytes;
     }
@@ -168,6 +186,22 @@ impl Hdfs {
     ///
     /// [`MapRedError::NoSuchFile`] when absent.
     pub fn get(&self, path: &str) -> Result<&DataFile, MapRedError> {
+        self.stored(path).map(|s| &s.file)
+    }
+
+    /// The content checksum ([`file_checksum`]) of a file, computed once per
+    /// stored version: base tables are fingerprinted for every query that
+    /// reads them, but only re-checksummed after a reload.
+    ///
+    /// # Errors
+    ///
+    /// [`MapRedError::NoSuchFile`] when absent.
+    pub fn checksum(&self, path: &str) -> Result<u64, MapRedError> {
+        let s = self.stored(path)?;
+        Ok(*s.checksum.get_or_init(|| file_checksum(&s.file)))
+    }
+
+    fn stored(&self, path: &str) -> Result<&Stored, MapRedError> {
         self.files
             .get(path)
             .ok_or_else(|| MapRedError::NoSuchFile(path.to_string()))
@@ -184,7 +218,7 @@ impl Hdfs {
     pub fn delete(&mut self, path: &str) {
         if let Some(old) = self.files.remove(path) {
             let n = node_index(path, self.nodes);
-            self.node_used[n] -= old.bytes();
+            self.node_used[n] -= old.file.bytes();
         }
     }
 
@@ -196,7 +230,7 @@ impl Hdfs {
     /// Total bytes stored.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(DataFile::bytes).sum()
+        self.files.values().map(|s| s.file.bytes()).sum()
     }
 
     /// Per-node used bytes of the disk model, indexed by node.
@@ -218,8 +252,8 @@ impl Hdfs {
     #[must_use]
     pub fn accounting_reconciled(&self) -> bool {
         let mut recomputed = vec![0u64; self.nodes];
-        for (path, file) in &self.files {
-            recomputed[node_index(path, self.nodes)] += file.bytes();
+        for (path, stored) in &self.files {
+            recomputed[node_index(path, self.nodes)] += stored.file.bytes();
         }
         recomputed == self.node_used && self.node_used.iter().sum::<u64>() == self.total_bytes()
     }
@@ -628,6 +662,22 @@ mod tests {
         };
         assert_ne!(file_checksum(&text), file_checksum(&col));
         assert_eq!(file_checksum(&col), file_checksum(&col.clone()));
+    }
+
+    #[test]
+    fn checksum_memo_follows_the_stored_file() {
+        let mut fs = Hdfs::new();
+        assert!(matches!(fs.checksum("t"), Err(MapRedError::NoSuchFile(_))));
+        fs.put("t", vec!["a".into()]);
+        let first = fs.checksum("t").unwrap();
+        assert_eq!(first, file_checksum(fs.get("t").unwrap()));
+        assert_eq!(fs.checksum("t").unwrap(), first, "memoized value is stable");
+        fs.put("t", vec!["b".into()]);
+        let replaced = fs.checksum("t").unwrap();
+        assert_ne!(replaced, first, "a replacing put drops the memo");
+        assert_eq!(replaced, file_checksum(fs.get("t").unwrap()));
+        fs.delete("t");
+        assert!(fs.checksum("t").is_err(), "delete drops it with the file");
     }
 
     #[test]

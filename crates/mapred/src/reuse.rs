@@ -27,11 +27,15 @@
 //!   the entry and reports a miss — the chain re-executes, so corruption
 //!   costs time, never answers.
 //!
-//! Capacity pressure is relieved by LRU eviction over the *last-hit
-//! simulated instant* (insertion instant until first hit), skipping entries
-//! pinned by in-flight readers. All cache decisions happen in the
-//! scheduler's single-threaded event loop at deterministic simulated
-//! times, so behaviour is bit-identical across `exec_threads` settings.
+//! Capacity pressure is relieved by GreedyDual-Size-Frequency eviction:
+//! each entry's priority is `H = L + f·c/s` (hits plus one, saved work,
+//! bytes), insertion evicts the unpinned entry with the lowest `H`, and the
+//! cache-owned inflation `L` rises to each capacity victim's `H`, so an
+//! entry hit often long ago ages out. No simulated time enters the policy:
+//! a service's scheduler clock restarts with every batch, and recency on
+//! those instants is not ordered across batches. All cache decisions happen
+//! in the scheduler's single-threaded event loop, so behaviour is
+//! bit-identical across `exec_threads` settings.
 
 use std::collections::BTreeMap;
 
@@ -40,7 +44,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{ClusterConfig, CorruptionModel};
 use crate::hash::checksum_bytes;
-use crate::hdfs::{file_bytes, file_checksum, DataFile, Hdfs};
+use crate::hdfs::{file_bytes, DataFile, Hdfs};
 use crate::metrics::JobMetrics;
 
 /// Configuration of the result-reuse cache.
@@ -107,10 +111,12 @@ struct Entry {
     bytes: u64,
     /// The committed job's recorded metrics, replayed on a hit.
     metrics: JobMetrics,
-    /// Simulated instant of the last hit (insert instant until then) —
-    /// the LRU eviction key.
-    last_hit_s: f64,
-    /// Monotonic tiebreak for equal instants, and the salt of the at-rest
+    /// Verified hits served; the GDSF frequency is `hits + 1`.
+    hits: u64,
+    /// GDSF priority `H = L + f·c/s`, set at insert and on every hit — the
+    /// eviction key (lowest first).
+    priority: f64,
+    /// Monotonic tiebreak for equal priorities, and the salt of the at-rest
     /// corruption draw (a re-inserted fingerprint draws fresh).
     seq: u64,
     /// In-flight readers; a pinned entry is never evicted.
@@ -125,6 +131,9 @@ pub struct ReuseCache {
     stats: ReuseStats,
     seq: u64,
     epoch: Option<u64>,
+    /// GDSF inflation `L`: the priority of the last capacity victim, so
+    /// newcomers start level with what was just evicted (reset per epoch).
+    inflation: f64,
 }
 
 /// The epoch a cluster configuration defines: any config change — cost
@@ -195,20 +204,20 @@ impl ReuseCache {
         self.stats.bytes_cached = 0;
         self.entries.clear();
         self.epoch = Some(epoch);
+        self.inflation = 0.0;
     }
 
-    /// Looks up a fingerprint at simulated instant `now_s`, verifying the
-    /// cached bytes before serving them. At-rest corruption is drawn from
-    /// `corruption` per `(seed, fingerprint, entry seq)` and genuinely
-    /// flips a bit of the candidate bytes; detection is the real checksum
-    /// comparison against the insert-time stamp. A damaged entry is
-    /// evicted and reported as a miss, so the caller re-executes.
+    /// Looks up a fingerprint, verifying the cached bytes before serving
+    /// them. At-rest corruption is drawn from `corruption` per `(seed,
+    /// fingerprint, entry seq)` and genuinely flips a bit of the candidate
+    /// bytes; detection is the real checksum comparison against the
+    /// insert-time stamp. A damaged entry is evicted and reported as a
+    /// miss, so the caller re-executes. A hit raises the entry's priority.
     pub fn lookup(
         &mut self,
         hdfs: &mut Hdfs,
         fingerprint: u64,
         corruption: Option<&CorruptionModel>,
-        now_s: f64,
     ) -> Option<(DataFile, JobMetrics)> {
         let Some(entry) = self.entries.get_mut(&fingerprint) else {
             self.stats.misses += 1;
@@ -245,79 +254,83 @@ impl ReuseCache {
             self.stats.misses += 1;
             return None;
         }
-        // Only the LRU instant advances; the entry keeps its insertion seq
+        // Only the priority advances; the entry keeps its insertion seq
         // (it salts the at-rest corruption draw).
-        entry.last_hit_s = now_s;
+        entry.hits += 1;
+        entry.priority = priority(self.inflation, entry);
         let result = (file.clone(), entry.metrics.clone());
         self.stats.hits += 1;
-        self.stats.reused_work_s += entry.metrics.total_s() - entry.metrics.startup_delay_s;
+        self.stats.reused_work_s += saved_work_s(&entry.metrics);
         Some(result)
     }
 
-    /// Inserts a committed job output at simulated instant `now_s`,
-    /// materializing it in `hdfs` under [`reuse_path`]. No-ops when the
-    /// capacity is 0, the fingerprint is already cached (recovery replays
-    /// re-commit the same jobs), or the file cannot fit even after
-    /// evicting every unpinned entry.
+    /// Inserts a committed job output, materializing it in `hdfs` under
+    /// [`reuse_path`]. No-ops when the capacity is 0, the fingerprint is
+    /// already cached (recovery replays re-commit the same jobs), or the
+    /// file cannot fit even after evicting every unpinned entry — checked
+    /// before evicting anything, so a file that will not fit never empties
+    /// the cache on its way to being skipped.
     pub fn insert(
         &mut self,
         hdfs: &mut Hdfs,
         fingerprint: u64,
         file: DataFile,
         metrics: JobMetrics,
-        now_s: f64,
     ) {
         let capacity = self.capacity_bytes();
         if capacity == 0 || self.entries.contains_key(&fingerprint) {
             return;
         }
         let bytes = file.bytes();
-        if bytes > capacity {
+        let pinned: u64 = self
+            .entries
+            .values()
+            .filter(|e| e.pins > 0)
+            .map(|e| e.bytes)
+            .sum();
+        if pinned + bytes > capacity {
             return;
         }
         while self.stats.bytes_cached + bytes > capacity {
-            if !self.evict_lru(hdfs) {
+            if !self.evict_lowest(hdfs) {
                 return;
             }
         }
         let path = reuse_path(fingerprint);
-        let checksum = file_checksum(&file);
         hdfs.put_data(&path, file);
+        let checksum = hdfs.checksum(&path).expect("stored above");
         self.seq += 1;
-        self.entries.insert(
-            fingerprint,
-            Entry {
-                path,
-                checksum,
-                bytes,
-                metrics,
-                last_hit_s: now_s,
-                seq: self.seq,
-                pins: 0,
-            },
-        );
+        let mut entry = Entry {
+            path,
+            checksum,
+            bytes,
+            metrics,
+            hits: 0,
+            priority: 0.0,
+            seq: self.seq,
+            pins: 0,
+        };
+        entry.priority = priority(self.inflation, &entry);
+        self.entries.insert(fingerprint, entry);
         self.stats.insertions += 1;
         self.stats.bytes_cached += bytes;
     }
 
-    /// Evicts the least-recently-hit unpinned entry; `false` when every
+    /// Evicts the unpinned entry with the lowest priority (oldest `seq` on
+    /// ties) and raises the inflation to its priority; `false` when every
     /// entry is pinned (or the cache is empty).
-    fn evict_lru(&mut self, hdfs: &mut Hdfs) -> bool {
+    fn evict_lowest(&mut self, hdfs: &mut Hdfs) -> bool {
         let victim = self
             .entries
             .iter()
             .filter(|(_, e)| e.pins == 0)
-            .min_by(|(_, a), (_, b)| {
-                a.last_hit_s
-                    .partial_cmp(&b.last_hit_s)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.seq.cmp(&b.seq))
-            })
+            .min_by(|(_, a), (_, b)| a.priority.total_cmp(&b.priority).then(a.seq.cmp(&b.seq)))
             .map(|(fp, _)| *fp);
         let Some(fp) = victim else {
             return false;
         };
         let dead = self.entries.remove(&fp).expect("victim exists");
+        self.inflation = dead.priority;
         hdfs.delete(&dead.path);
         self.stats.bytes_cached -= dead.bytes;
         self.stats.evictions += 1;
@@ -342,6 +355,18 @@ impl ReuseCache {
     }
 }
 
+/// Simulated execution seconds a hit on `metrics` avoids: the recorded
+/// job time minus its scheduling delay.
+fn saved_work_s(metrics: &JobMetrics) -> f64 {
+    metrics.total_s() - metrics.startup_delay_s
+}
+
+/// The GDSF priority `L + f·c/s` of `entry` under inflation `L`.
+fn priority(inflation: f64, entry: &Entry) -> f64 {
+    let frequency = (entry.hits + 1) as f64;
+    inflation + frequency * saved_work_s(&entry.metrics) / entry.bytes.max(1) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,11 +389,11 @@ mod tests {
     fn round_trips_and_counts() {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-        assert!(cache.lookup(&mut hdfs, 7, None, 0.0).is_none());
-        cache.insert(&mut hdfs, 7, text(&["a|1", "b|2"]), metrics(3.0), 1.0);
+        assert!(cache.lookup(&mut hdfs, 7, None).is_none());
+        cache.insert(&mut hdfs, 7, text(&["a|1", "b|2"]), metrics(3.0));
         assert!(cache.contains(7));
         assert!(hdfs.exists(&reuse_path(7)));
-        let (file, m) = cache.lookup(&mut hdfs, 7, None, 2.0).unwrap();
+        let (file, m) = cache.lookup(&mut hdfs, 7, None).unwrap();
         assert_eq!(file.lines, vec!["a|1".to_string(), "b|2".to_string()]);
         assert!((m.total_s() - 3.0).abs() < 1e-12);
         let s = cache.stats();
@@ -380,22 +405,22 @@ mod tests {
     fn capacity_zero_never_caches() {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(0));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
         assert!(cache.is_empty());
         assert_eq!(hdfs.total_bytes(), 0);
         assert_eq!(cache.stats().insertions, 0);
     }
 
     #[test]
-    fn lru_evicts_coldest_first() {
+    fn evicts_coldest_first() {
         let mut hdfs = Hdfs::new();
         // Each file is 2 bytes ("x\n"); capacity fits exactly two.
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(4));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
-        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0), 1.0);
-        // Touch 1 so 2 becomes the LRU victim.
-        cache.lookup(&mut hdfs, 1, None, 2.0).unwrap();
-        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0), 3.0);
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
+        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0));
+        // Hit 1 so 2 becomes the victim.
+        cache.lookup(&mut hdfs, 1, None).unwrap();
+        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0));
         assert!(cache.contains(1) && cache.contains(3) && !cache.contains(2));
         assert!(!hdfs.exists(&reuse_path(2)));
         assert_eq!(cache.stats().evictions, 1);
@@ -404,19 +429,78 @@ mod tests {
     }
 
     #[test]
+    fn size_aware_evicts_large_cheap_before_small_expensive() {
+        let mut hdfs = Hdfs::new();
+        // 10 bytes saving 1 s vs 2 bytes saving 5 s; room for both only.
+        let mut cache = ReuseCache::new(ReuseConfig::with_capacity(12));
+        cache.insert(&mut hdfs, 2, text(&["x"]), metrics(5.0));
+        cache.insert(&mut hdfs, 3, text(&["large-one"]), metrics(1.0));
+        // The small expensive entry is the older one: recency alone would
+        // pick it.
+        cache.insert(&mut hdfs, 4, text(&["y"]), metrics(5.0));
+        assert!(cache.contains(2), "small, expensive entry must stay");
+        assert!(!cache.contains(3), "large, cheap entry goes first");
+        assert!(cache.contains(4));
+    }
+
+    #[test]
+    fn frequency_beats_recency() {
+        let mut hdfs = Hdfs::new();
+        let mut cache = ReuseCache::new(ReuseConfig::with_capacity(4));
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
+        cache.lookup(&mut hdfs, 1, None).unwrap();
+        // 2 is newer than 1's hit, but was never hit itself.
+        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0));
+        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0));
+        assert!(
+            cache.contains(1),
+            "the hit entry outlives the equal cold one"
+        );
+        assert!(!cache.contains(2));
+        assert!(cache.contains(3));
+    }
+
+    #[test]
+    fn inflation_ages_out_old_frequent_entries() {
+        let mut hdfs = Hdfs::new();
+        let mut cache = ReuseCache::new(ReuseConfig::with_capacity(4));
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
+        for _ in 0..3 {
+            cache.lookup(&mut hdfs, 1, None).unwrap();
+        }
+        // A stream of one-off entries: each eviction raises L to the
+        // victim's priority, so newcomers climb until 1's old hits no
+        // longer protect it.
+        let mut evicted_after = None;
+        for fp in 100..120 {
+            cache.insert(&mut hdfs, fp, text(&["y"]), metrics(1.0));
+            if !cache.contains(1) {
+                evicted_after = Some(fp - 99);
+                break;
+            }
+        }
+        let n = evicted_after.expect("an old, often-hit entry must age out");
+        assert!(n > 1, "its hits protect it at first");
+        assert_eq!(cache.stats().evictions, n - 1, "the first one-off fit");
+        // With L reset by an epoch change, a fresh entry starts from zero.
+        cache.ensure_epoch(&mut hdfs, 9);
+        assert_eq!(cache.inflation, 0.0);
+    }
+
+    #[test]
     fn pinned_entry_survives_pressure() {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(4));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
-        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0), 1.0);
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
+        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0));
         // 1 is the colder entry but a reader holds it pinned.
         cache.pin(1);
-        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0), 2.0);
+        cache.insert(&mut hdfs, 3, text(&["z"]), metrics(1.0));
         assert!(cache.contains(1), "pinned entry must not be evicted");
-        assert!(!cache.contains(2), "pressure falls on the unpinned LRU");
+        assert!(!cache.contains(2), "pressure falls on the unpinned coldest");
         assert!(cache.contains(3));
         cache.unpin(1);
-        cache.insert(&mut hdfs, 4, text(&["w"]), metrics(1.0), 3.0);
+        cache.insert(&mut hdfs, 4, text(&["w"]), metrics(1.0));
         assert!(!cache.contains(1), "unpinned, 1 is again evictable");
     }
 
@@ -424,21 +508,39 @@ mod tests {
     fn everything_pinned_skips_insert() {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(2));
-        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0), 0.0);
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
         cache.pin(1);
-        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0), 1.0);
+        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0));
         assert!(cache.contains(1) && !cache.contains(2));
         assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn insert_that_cannot_fit_evicts_nothing() {
+        let mut hdfs = Hdfs::new();
+        let mut cache = ReuseCache::new(ReuseConfig::with_capacity(8));
+        cache.insert(&mut hdfs, 1, text(&["x"]), metrics(1.0));
+        cache.insert(&mut hdfs, 2, text(&["y"]), metrics(1.0));
+        cache.pin(1);
+        // 7 bytes fit beside nothing but the pinned 2: evicting 2 would
+        // not make room, so it must stay.
+        cache.insert(&mut hdfs, 3, text(&["large!"]), metrics(9.0));
+        assert!(cache.contains(1) && cache.contains(2) && !cache.contains(3));
+        assert_eq!(cache.stats().evictions, 0);
+        cache.unpin(1);
+        cache.insert(&mut hdfs, 3, text(&["large!"]), metrics(9.0));
+        assert!(cache.contains(3), "with 1 unpinned there is room");
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     fn corrupt_entry_is_rejected_and_evicted() {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
-        cache.insert(&mut hdfs, 9, text(&["payload"]), metrics(2.0), 0.0);
+        cache.insert(&mut hdfs, 9, text(&["payload"]), metrics(2.0));
         let certain = CorruptionModel::uniform(1.0, 42);
         assert!(
-            cache.lookup(&mut hdfs, 9, Some(&certain), 1.0).is_none(),
+            cache.lookup(&mut hdfs, 9, Some(&certain)).is_none(),
             "a flipped bit must fail verification"
         );
         assert!(!cache.contains(9));
@@ -446,9 +548,9 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.integrity_failures, s.hits, s.misses), (1, 0, 1));
         // Clean model: a fresh insert serves again (new seq, fresh draw).
-        cache.insert(&mut hdfs, 9, text(&["payload"]), metrics(2.0), 2.0);
+        cache.insert(&mut hdfs, 9, text(&["payload"]), metrics(2.0));
         let clean = CorruptionModel::uniform(0.0, 42);
-        assert!(cache.lookup(&mut hdfs, 9, Some(&clean), 3.0).is_some());
+        assert!(cache.lookup(&mut hdfs, 9, Some(&clean)).is_some());
     }
 
     #[test]
@@ -456,7 +558,7 @@ mod tests {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
         cache.ensure_epoch(&mut hdfs, 1);
-        cache.insert(&mut hdfs, 5, text(&["a"]), metrics(1.0), 0.0);
+        cache.insert(&mut hdfs, 5, text(&["a"]), metrics(1.0));
         cache.ensure_epoch(&mut hdfs, 1);
         assert!(cache.contains(5), "same epoch keeps entries");
         cache.ensure_epoch(&mut hdfs, 2);
@@ -479,7 +581,7 @@ mod tests {
     fn oversized_file_is_not_cached() {
         let mut hdfs = Hdfs::new();
         let mut cache = ReuseCache::new(ReuseConfig::with_capacity(3));
-        cache.insert(&mut hdfs, 1, text(&["too-big"]), metrics(1.0), 0.0);
+        cache.insert(&mut hdfs, 1, text(&["too-big"]), metrics(1.0));
         assert!(cache.is_empty());
         assert_eq!(hdfs.total_bytes(), 0);
     }

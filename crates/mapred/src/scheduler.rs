@@ -595,7 +595,7 @@ impl Scheduler<'_> {
     /// cache-reused commits alike — idempotent for already-cached
     /// fingerprints, and exactly what makes crash recovery rebuild the
     /// cache deterministically.
-    fn reuse_commit(&mut self, cluster: &mut Cluster, slot: usize, now: f64) {
+    fn reuse_commit(&mut self, cluster: &mut Cluster, slot: usize) {
         let Some(cache) = self.reuse.as_deref_mut() else {
             return;
         };
@@ -611,7 +611,7 @@ impl Scheduler<'_> {
         let mut metrics = run.session.metrics().jobs[done - 1].clone();
         metrics.attempt = 0;
         let file = cluster.hdfs.get(&job.output).cloned().unwrap_or_default();
-        cache.insert(&mut cluster.hdfs, fp, file, metrics, now);
+        cache.insert(&mut cluster.hdfs, fp, file, metrics);
     }
 
     /// Releases the cache pins a chain's fast-forward plan held.
@@ -825,7 +825,7 @@ impl Scheduler<'_> {
                 let Some(fp) = job.fingerprint else { break };
                 let corruption = cluster.config.corruption;
                 let Some((file, mut metrics)) =
-                    cache.lookup(&mut cluster.hdfs, fp, corruption.as_ref(), now)
+                    cache.lookup(&mut cluster.hdfs, fp, corruption.as_ref())
                 else {
                     break;
                 };
@@ -956,7 +956,7 @@ impl Scheduler<'_> {
         // event order with no dedicated journal record.
         if matches!(pending, Some(ChainStep::Advanced | ChainStep::Finished)) {
             self.journal_commit(cluster, slot);
-            self.reuse_commit(cluster, slot, now);
+            self.reuse_commit(cluster, slot);
         }
         match pending {
             Some(ChainStep::Advanced | ChainStep::Backoff { .. }) => {

@@ -323,3 +323,46 @@ fn reuse_is_bit_identical_across_threads_and_formats() {
         }
     }
 }
+
+/// Runs one batch on a cache that outlives it, as `ysmart serve` does per
+/// `!run`.
+fn run_batch(c: &mut Cluster, cache: &mut ReuseCache, batch: Vec<QueryRequest>) -> WorkloadReport {
+    run_workload_reusing(c, &serial(), batch, None, &[], cache).0
+}
+
+#[test]
+fn early_hit_in_a_later_batch_outlives_a_late_cold_insert() {
+    // Each batch restarts the scheduler's simulated clock at 0. An entry
+    // re-hit at the start of batch 2 must still count as more valuable
+    // than an equal entry inserted late in batch 1 and never hit since.
+    let one_output = {
+        let mut c = cluster(Some(1), DataFormat::Text);
+        let mut cache = ReuseCache::new(ReuseConfig::with_capacity(1 << 20));
+        run_batch(&mut c, &mut cache, vec![request("probe", 1, 1, 10, 0.0)]);
+        cache.stats().bytes_cached
+    };
+    // Room for two of the (equal-sized) outputs, not three.
+    let mut c = cluster(Some(1), DataFormat::Text);
+    let mut cache = ReuseCache::new(ReuseConfig::with_capacity(one_output * 5 / 2));
+    run_batch(
+        &mut c,
+        &mut cache,
+        vec![request("a", 1, 1, 10, 0.0), request("b", 1, 2, 11, 500.0)],
+    );
+    let second = run_batch(
+        &mut c,
+        &mut cache,
+        vec![request("a2", 1, 1, 12, 0.0), request("c", 1, 3, 13, 1.0)],
+    );
+    assert_eq!(second.reports[0].jobs_reused, 1, "a2 hits a's entry");
+    assert_eq!(cache.stats().evictions, 1);
+    assert!(cache.contains(1000), "the entry hit in batch 2 survives");
+    assert!(
+        !cache.contains(2000),
+        "the cold late insert of batch 1 goes"
+    );
+    assert!(cache.contains(3000));
+    let third = run_batch(&mut c, &mut cache, vec![request("a3", 1, 1, 14, 0.0)]);
+    assert_eq!(third.reports[0].jobs_reused, 1, "a is still served");
+    assert!(c.hdfs.accounting_reconciled());
+}
